@@ -11,11 +11,14 @@
 // deadlines, replans exactly what crashed workers leave missing, and hosts
 // the fleet's shared result cache. With -state-dir every transition is
 // write-ahead journaled and a restarted coordinator recovers its sweeps
-// exactly where they stopped; SIGTERM drains gracefully (stop leasing,
-// wait bounded time for in-flight work, journal a clean shutdown). work
-// joins a worker that polls with bounded exponential backoff until the
-// coordinator drains; its first SIGTERM finishes the current lease and
-// exits, a second aborts the lease (cleanly failed back). sweep submits
+// exactly where they stopped; SIGTERM drains gracefully (release held
+// polls, stop leasing, wait bounded time for in-flight work, journal a
+// clean shutdown). work joins a worker that long-polls for leases: each
+// idle poll is held by the coordinator until work is queued, for at most
+// the worker's bounded exponential backoff delay, so an idle worker starts
+// on a new sweep as soon as it is submitted. It runs until the coordinator
+// drains; its first SIGTERM abandons a held poll or finishes the current
+// lease and exits, a second aborts the lease (cleanly failed back). sweep submits
 // an artifact's grid, waits, and renders the merged output —
 // byte-identical to running the same artifact in one process, whatever
 // happens to the fleet mid-run; -detach and -attach split submission from
@@ -89,7 +92,14 @@ func serveMain(args []string) {
 	// so scripts and tests can discover the port.
 	fmt.Printf("listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: sweepd.Handler(coord)}
+	// No WriteTimeout: it would have to outlast both the longest held
+	// lease poll (sweepd.DefaultBackoff.Max) and the slowest results
+	// download; ReadHeaderTimeout already sheds slow-header clients.
+	srv := &http.Server{
+		Handler:           sweepd.Handler(coord),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -28,7 +28,6 @@ import (
 type FileBackend struct {
 	dir  string
 	hits atomic.Uint64
-	seq  atomic.Uint64 // temp-file uniquifier within this process
 }
 
 // fileEntryVersion versions the on-disk record envelope (independent of
@@ -118,11 +117,23 @@ func (b *FileBackend) Put(key CacheKey, est Estimate) error {
 		return fmt.Errorf("core: encoding cache entry: %w", err)
 	}
 	// Write-to-temp + rename: the entry appears atomically under its final
-	// name. The temp name is unique per (process, write) so concurrent
-	// writers — including other processes sharing the directory — never
-	// collide on it.
-	tmp := fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), b.seq.Add(1))
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	// name. os.CreateTemp picks a name no other writer holds — another
+	// backend over the same directory, in this process or any other — so
+	// concurrent writers never collide on it.
+	f, err := os.CreateTemp(b.dir, filepath.Base(path)+".tmp.*")
+	if err != nil {
+		return fmt.Errorf("core: writing cache entry: %w", err)
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp, 0o644) // CreateTemp's 0600 would hide entries from other users
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
 		return fmt.Errorf("core: writing cache entry: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {

@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,7 +26,8 @@ var ErrLeaseGone = errors.New("sweepd: lease gone")
 
 // NewClient opens a client for the coordinator at base (e.g.
 // "http://127.0.0.1:8080"). A nil httpClient uses a dedicated client with
-// a conservative timeout.
+// a conservative timeout; a caller's own timeout must exceed
+// DefaultBackoff.Max, the longest a lease poll is held.
 func NewClient(base string, httpClient *http.Client) (*Client, error) {
 	if base == "" {
 		return nil, errors.New("sweepd: coordinator URL must not be empty")
@@ -39,10 +41,11 @@ func NewClient(base string, httpClient *http.Client) (*Client, error) {
 // Base returns the coordinator's base URL.
 func (c *Client) Base() string { return c.base }
 
-// call POSTs (or GETs, body nil) one protocol message and decodes the
-// response into out (when non-nil). Non-2xx answers decode the protocol
-// error body; 404/409 on lease endpoints surface as ErrLeaseGone.
-func (c *Client) call(method, path string, in, out any) error {
+// call POSTs (or GETs, body nil) one protocol message under ctx and
+// decodes the response into out (when non-nil). Non-2xx answers decode
+// the protocol error body; 404/409 on lease endpoints surface as
+// ErrLeaseGone.
+func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -51,7 +54,7 @@ func (c *Client) call(method, path string, in, out any) error {
 		}
 		body = bytes.NewReader(data)
 	}
-	req, err := http.NewRequest(method, c.base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return fmt.Errorf("sweepd: %s: %w", path, err)
 	}
@@ -92,16 +95,19 @@ func (c *Client) call(method, path string, in, out any) error {
 func (c *Client) Submit(req SubmitRequest) (string, error) {
 	req.Version = ProtocolVersion
 	var resp SubmitResponse
-	if err := c.call(http.MethodPost, "/v1/sweeps", req, &resp); err != nil {
+	if err := c.call(context.TODO(), http.MethodPost, "/v1/sweeps", req, &resp); err != nil {
 		return "", err
 	}
 	return resp.ID, nil
 }
 
-// Lease polls for work.
-func (c *Client) Lease(worker string) (LeaseResponse, error) {
+// Lease polls for work, asking the coordinator to hold a LeaseWait
+// answer for up to wait (0 answers at once). Cancelling ctx abandons a
+// held poll.
+func (c *Client) Lease(ctx context.Context, worker string, wait time.Duration) (LeaseResponse, error) {
 	var resp LeaseResponse
-	err := c.call(http.MethodPost, "/v1/lease", LeaseRequest{Version: ProtocolVersion, Worker: worker}, &resp)
+	req := LeaseRequest{Version: ProtocolVersion, Worker: worker, WaitMS: wait.Milliseconds()}
+	err := c.call(ctx, http.MethodPost, "/v1/lease", req, &resp)
 	if err != nil {
 		return LeaseResponse{}, err
 	}
@@ -114,18 +120,18 @@ func (c *Client) Lease(worker string) (LeaseResponse, error) {
 // Heartbeat renews a lease. ErrLeaseGone means the coordinator reclaimed
 // it and the worker must abandon the partition.
 func (c *Client) Heartbeat(leaseID string) error {
-	return c.call(http.MethodPost, "/v1/lease/"+leaseID+"/heartbeat", struct{}{}, nil)
+	return c.call(context.TODO(), http.MethodPost, "/v1/lease/"+leaseID+"/heartbeat", struct{}{}, nil)
 }
 
 // Results submits a lease's result set and the worker's cost table.
 func (c *Client) Results(leaseID string, sub ResultSubmission) error {
 	sub.Version = ProtocolVersion
-	return c.call(http.MethodPost, "/v1/lease/"+leaseID+"/results", sub, nil)
+	return c.call(context.TODO(), http.MethodPost, "/v1/lease/"+leaseID+"/results", sub, nil)
 }
 
 // Fail reports that a lease could not be run.
 func (c *Client) Fail(leaseID, msg string) error {
-	return c.call(http.MethodPost, "/v1/lease/"+leaseID+"/fail", FailRequest{Version: ProtocolVersion, Error: msg}, nil)
+	return c.call(context.TODO(), http.MethodPost, "/v1/lease/"+leaseID+"/fail", FailRequest{Version: ProtocolVersion, Error: msg}, nil)
 }
 
 // Ready reports whether the coordinator answers its readiness probe —
@@ -144,20 +150,20 @@ func (c *Client) Ready() bool {
 // Status fetches the whole-service status.
 func (c *Client) Status() (CoordinatorStatus, error) {
 	var st CoordinatorStatus
-	err := c.call(http.MethodGet, "/v1/status", nil, &st)
+	err := c.call(context.TODO(), http.MethodGet, "/v1/status", nil, &st)
 	return st, err
 }
 
 // SweepStatus fetches one sweep's status.
 func (c *Client) SweepStatus(id string) (SweepStatus, error) {
 	var st SweepStatus
-	err := c.call(http.MethodGet, "/v1/sweeps/"+id, nil, &st)
+	err := c.call(context.TODO(), http.MethodGet, "/v1/sweeps/"+id, nil, &st)
 	return st, err
 }
 
 // SweepResults fetches a sweep's completed scenarios so far.
 func (c *Client) SweepResults(id string) (ResultsResponse, error) {
 	var resp ResultsResponse
-	err := c.call(http.MethodGet, "/v1/sweeps/"+id+"/results", nil, &resp)
+	err := c.call(context.TODO(), http.MethodGet, "/v1/sweeps/"+id+"/results", nil, &resp)
 	return resp, err
 }

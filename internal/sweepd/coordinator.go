@@ -1,6 +1,7 @@
 package sweepd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -114,6 +115,9 @@ type Coordinator struct {
 	nextSweep int
 	nextLease int
 	draining  bool
+	// kick is closed (and dropped) by kickLocked to wake every held lease
+	// poll; nil while no poll is held.
+	kick chan struct{}
 }
 
 // NewCoordinator builds a purely in-memory coordinator; zero-value
@@ -263,6 +267,7 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	}
 	c.sweeps[sw.id] = sw
 	c.order = append(c.order, sw.id)
+	c.kickLocked()
 	c.logf("sweep %s admitted: experiment=%q scenarios=%d partitions=%d",
 		sw.id, m.Experiment, m.Total, len(sw.queue))
 	return SubmitResponse{ID: sw.id}, nil
@@ -343,17 +348,96 @@ func (c *Coordinator) leaseResponseLocked(sw *sweep, l *lease) LeaseResponse {
 // a predicted straggler (see speculateLocked). A draining coordinator
 // answers LeaseBye immediately — in-flight leases may still submit, but
 // no new work leaves the queue. A recovering coordinator answers
-// LeaseWait until replay finishes.
+// LeaseWait until replay finishes. Lease never blocks and ignores
+// req.WaitMS; the HTTP handler holds polls through holdLease.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if req.Version != ProtocolVersion {
 		return LeaseResponse{}, fmt.Errorf("sweepd: lease version %d, want %d", req.Version, ProtocolVersion)
 	}
-	if !c.ready.Load() {
-		return LeaseResponse{Version: ProtocolVersion, Status: LeaseWait}, nil
-	}
 	now := c.opts.Clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.leaseLocked(req, now)
+}
+
+// holdLease answers a lease poll like Lease, but holds a LeaseWait answer
+// for up to req.WaitMS (clamped by holdFor) and re-evaluates the poll
+// each time something could change its answer: a kickLocked wake (work
+// queued, replay finished, drain begun, costs merged), or the earliest
+// outstanding lease deadline, so lazy reaping and speculation run no
+// later than a worker polling with backoff would make them. A held poll
+// ends when ctx does (the client went away), answering LeaseWait.
+func (c *Coordinator) holdLease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
+	if req.Version != ProtocolVersion {
+		return LeaseResponse{}, fmt.Errorf("sweepd: lease version %d, want %d", req.Version, ProtocolVersion)
+	}
+	end := time.Now().Add(holdFor(req.WaitMS))
+	for {
+		now := c.opts.Clock()
+		c.mu.Lock()
+		resp, err := c.leaseLocked(req, now)
+		// Taking the wake channel in the same critical section as the
+		// answer means no kick can fall between the two.
+		var kick chan struct{}
+		wait := time.Until(end)
+		if err == nil && resp.Status == LeaseWait && wait > 0 {
+			if c.kick == nil {
+				c.kick = make(chan struct{})
+			}
+			kick = c.kick
+			for _, l := range c.leases {
+				// reapLocked reclaims only strictly after the deadline.
+				if d := l.deadline.Sub(now) + time.Millisecond; d < wait {
+					wait = d
+				}
+			}
+		}
+		c.mu.Unlock()
+		if kick == nil {
+			return resp, err
+		}
+		t := time.NewTimer(wait)
+		select {
+		case <-kick:
+		case <-t.C:
+		case <-ctx.Done():
+		}
+		t.Stop()
+		if ctx.Err() != nil {
+			return resp, nil // the client left; grant nothing it cannot take
+		}
+	}
+}
+
+// holdFor clamps a poll's requested hold: negative or zero means no hold,
+// and anything above DefaultBackoff.Max (a worker's longest idle sleep)
+// is capped there, so a hostile value cannot pin a request indefinitely.
+func holdFor(waitMS int64) time.Duration {
+	maxMS := DefaultBackoff.Max.Milliseconds()
+	switch {
+	case waitMS <= 0:
+		return 0
+	case waitMS >= maxMS:
+		return DefaultBackoff.Max
+	}
+	return time.Duration(waitMS) * time.Millisecond
+}
+
+// kickLocked wakes every held lease poll so it re-evaluates its answer;
+// every state change that can turn a LeaseWait into work or LeaseBye
+// calls it.
+func (c *Coordinator) kickLocked() {
+	if c.kick != nil {
+		close(c.kick)
+		c.kick = nil
+	}
+}
+
+// leaseLocked is Lease's body; the caller holds c.mu.
+func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time) (LeaseResponse, error) {
+	if !c.ready.Load() {
+		return LeaseResponse{Version: ProtocolVersion, Status: LeaseWait}, nil
+	}
 	c.reapLocked(now)
 	if c.draining {
 		return LeaseResponse{Version: ProtocolVersion, Status: LeaseBye}, nil
@@ -506,6 +590,9 @@ func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	}
 
 	c.costs = c.costs.Merge(sub.Costs)
+	if len(sub.Costs) > 0 {
+		c.kickLocked() // new costs can turn a straggler into a speculation
+	}
 	sw.sets = append(sw.sets, sub.Results)
 	if ref != "" {
 		sw.refs = append(sw.refs, ref)
@@ -669,6 +756,7 @@ func (c *Coordinator) requeueLocked(sw *sweep, part pending, code, detail string
 		sw.counters.Replans++
 	}
 	sw.queue = append(sw.queue, part)
+	c.kickLocked()
 }
 
 // failSweepLocked journals and applies a sweep's terminal failure.
@@ -861,11 +949,13 @@ func copyCosts(t core.CostTable) core.CostTable {
 }
 
 // Drain stops admitting sweeps and granting leases and tells polling
-// workers to exit; in-flight leases may still heartbeat and submit.
+// workers to exit — held polls at once; in-flight leases may still
+// heartbeat and submit.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.draining = true
+	c.kickLocked()
 }
 
 // Shutdown drains the coordinator, waits up to timeout (wall clock) for

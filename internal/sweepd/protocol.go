@@ -137,13 +137,20 @@ type LeaseRequest struct {
 	Version int `json:"version"`
 	// Worker identifies the polling worker in status output and logs.
 	Worker string `json:"worker"`
+	// WaitMS asks the coordinator to hold a LeaseWait answer for up to
+	// this many milliseconds, answering early as soon as work is queued or
+	// the coordinator drains (a long poll). The coordinator clamps it to
+	// [0, DefaultBackoff.Max]; 0 answers at once.
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // Lease poll outcomes.
 const (
 	// LeaseWork: the response carries a lease.
 	LeaseWork = "work"
-	// LeaseWait: no work right now; poll again (with backoff).
+	// LeaseWait: no work arrived within the poll's hold (WaitMS, or at
+	// once without one); poll again, after whatever remains of the
+	// backoff delay the hold did not already spend.
 	LeaseWait = "wait"
 	// LeaseBye: the coordinator is draining; the worker should exit.
 	LeaseBye = "bye"

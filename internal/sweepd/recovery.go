@@ -189,6 +189,7 @@ func (c *Coordinator) Recover() error {
 	// Compact so the next restart replays snapshots instead of history.
 	c.compactLocked()
 	c.ready.Store(true)
+	c.kickLocked()
 	c.logf("recover: %d sweeps restored from %s", len(c.order), c.journal.Dir())
 	return nil
 }

@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,7 +13,7 @@ import (
 
 // maxBodyBytes bounds request bodies; a table-5-scale sweep manifest is a
 // few hundred KB, so 16 MiB leaves generous headroom without letting a
-// confused client exhaust the coordinator.
+// confused client exhaust the coordinator. Larger bodies answer 413.
 const maxBodyBytes = 16 << 20
 
 // Handler serves the coordinator protocol:
@@ -20,7 +21,9 @@ const maxBodyBytes = 16 << 20
 //	POST /v1/sweeps              submit a sweep (SubmitRequest)
 //	GET  /v1/sweeps/{id}         one sweep's status
 //	GET  /v1/sweeps/{id}/results completed scenarios so far
-//	POST /v1/lease               poll for work (LeaseRequest)
+//	POST /v1/lease               poll for work (LeaseRequest); with wait_ms
+//	                             a long poll, held until work is queued,
+//	                             the coordinator drains, or the hold ends
 //	POST /v1/lease/{id}/heartbeat
 //	POST /v1/lease/{id}/results  submit a lease's results (ResultSubmission)
 //	POST /v1/lease/{id}/fail     report a lease failure (FailRequest)
@@ -63,7 +66,7 @@ func Handler(c *Coordinator) http.Handler {
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		resp, err := c.Lease(req)
+		resp, err := c.holdLease(r.Context(), req)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -124,12 +127,18 @@ func Handler(c *Coordinator) http.Handler {
 	return mux
 }
 
-// decodeBody strictly decodes one JSON document into v, answering 400 on
-// failure. Returns false when the response is already written.
+// decodeBody strictly decodes one JSON document into v, answering 413
+// for a body over maxBodyBytes and 400 on any other failure. Returns
+// false when the response is already written.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("sweepd: reading request: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("sweepd: reading request: %w", err))
 		return false
 	}
 	if err := json.Unmarshal(data, v); err != nil {

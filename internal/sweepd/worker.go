@@ -15,7 +15,10 @@ import (
 // Backoff is a bounded exponential backoff policy: Delay(attempt) grows by
 // Factor from Base and saturates at Max. It paces both idle polling (so a
 // quiet coordinator is not hammered) and retries after protocol errors (so
-// a briefly unreachable coordinator is retried, not abandoned).
+// a briefly unreachable coordinator is retried, not abandoned). An idle
+// poll asks the coordinator to hold its answer for the delay, so the
+// worker wakes as soon as work is queued and sleeps only what the hold
+// did not spend.
 type Backoff struct {
 	Base   time.Duration
 	Max    time.Duration
@@ -63,8 +66,8 @@ type WorkerOptions struct {
 	Parallelism int
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
-	// Backoff paces idle polls and error retries (zero value =
-	// DefaultBackoff).
+	// Backoff paces idle polls (as the poll's hold) and error retries
+	// (zero value = DefaultBackoff).
 	Backoff Backoff
 	// MaxIdlePolls exits the worker after this many consecutive LeaseWait
 	// answers (0 = poll until LeaseBye or context cancellation).
@@ -77,19 +80,21 @@ type WorkerOptions struct {
 	// the coordinator's remote one (a fleet on one machine can share it).
 	CacheDir string
 	// Drain, when non-nil and closed, asks the worker to exit gracefully:
-	// the current lease runs to completion (or clean failure) and no new
-	// lease is polled for. Cancelling ctx instead aborts the current lease
-	// mid-run (it is cleanly failed back to the coordinator).
+	// the current lease runs to completion (or clean failure), a held
+	// poll is abandoned, and no new lease is polled for. Cancelling ctx
+	// instead aborts the current lease mid-run (it is cleanly failed back
+	// to the coordinator).
 	Drain <-chan struct{}
 	// Log receives progress lines (nil discards them).
 	Log func(format string, args ...any)
 }
 
-// Work runs the worker loop: poll for a lease (with backoff), run the
-// leased shard under a heartbeat, submit results and the trained cost
-// table, repeat. It returns nil when the coordinator says LeaseBye, when
-// MaxIdlePolls is exhausted, or when ctx is done; it returns an error only
-// when the coordinator stays unreachable past the error budget.
+// Work runs the worker loop: poll for a lease (held by the coordinator
+// for up to the backoff delay), run the leased shard under a heartbeat,
+// submit results and the trained cost table, repeat. It returns nil when
+// the coordinator says LeaseBye, when MaxIdlePolls is exhausted, or when
+// ctx is done; it returns an error only when the coordinator stays
+// unreachable past the error budget.
 func Work(ctx context.Context, opts WorkerOptions) error {
 	client, err := NewClient(opts.Coordinator, opts.Client)
 	if err != nil {
@@ -101,6 +106,19 @@ func Work(ctx context.Context, opts WorkerOptions) error {
 	}
 	if opts.Name == "" {
 		opts.Name = "worker"
+	}
+	// Polls run under pollCtx, which Drain also cancels, so neither a
+	// drain nor a cancellation waits out a held poll.
+	pollCtx, stopPolls := context.WithCancel(ctx)
+	defer stopPolls()
+	if opts.Drain != nil {
+		go func() {
+			select {
+			case <-opts.Drain:
+				stopPolls()
+			case <-pollCtx.Done():
+			}
+		}()
 	}
 	idle, failures := 0, 0
 	for {
@@ -115,8 +133,13 @@ func Work(ctx context.Context, opts WorkerOptions) error {
 			default:
 			}
 		}
-		resp, err := client.Lease(opts.Name)
+		delay := opts.Backoff.Delay(idle)
+		start := time.Now()
+		resp, err := client.Lease(pollCtx, opts.Name, delay)
 		if err != nil {
+			if pollCtx.Err() != nil {
+				continue // drained or cancelled mid-poll; the loop top exits
+			}
 			failures++
 			if failures >= errorBudget {
 				return fmt.Errorf("sweepd: %d consecutive poll failures, giving up: %w", failures, err)
@@ -138,7 +161,8 @@ func Work(ctx context.Context, opts WorkerOptions) error {
 				logf("no work after %d polls; exiting", idle)
 				return nil
 			}
-			if err := sleepCtx(ctx, opts.Backoff.Delay(idle-1)); err != nil {
+			// A coordinator that held the poll already spent the delay.
+			if err := sleepCtx(ctx, delay-time.Since(start)); err != nil {
 				return nil
 			}
 		case LeaseWork:
