@@ -94,7 +94,8 @@ func DefaultConfig(nodes []Node) Config {
 
 // Validate checks the configuration: a non-empty node set forming a tree
 // with exactly one sink, positive sample rates, a meaningful CPU model and
-// physically valid radio and battery tables.
+// physically valid radio and battery tables. The routing check is linear
+// in the number of nodes, whatever the tree's depth.
 func (c Config) Validate() error {
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("field: no nodes")
@@ -145,18 +146,32 @@ func (c Config) Validate() error {
 	if sink < 0 {
 		return fmt.Errorf("field: no sink (a node with Parent == ID)")
 	}
-	// Every node must reach the sink without cycles.
-	for _, n := range c.Nodes {
-		seen := 0
-		for cur := n.ID; cur != c.Nodes[sink].ID; {
-			pi, ok := byID[cur]
+	// Every node must reach the sink without cycles. One memoized pass: a
+	// walk stops at the first node already known to reach the sink, so
+	// each node is walked once.
+	const (
+		unseen = iota
+		onWalk
+		reaches
+	)
+	state := make([]uint8, len(c.Nodes))
+	state[sink] = reaches
+	for i, n := range c.Nodes {
+		cur := i
+		for state[cur] == unseen {
+			state[cur] = onWalk
+			parent := c.Nodes[cur].Parent
+			pi, ok := byID[parent]
 			if !ok {
-				return fmt.Errorf("field: node %d routes through unknown node %d", n.ID, cur)
+				return fmt.Errorf("field: node %d routes through unknown node %d", n.ID, parent)
 			}
-			cur = c.Nodes[pi].Parent
-			if seen++; seen > len(c.Nodes) {
-				return fmt.Errorf("field: routing cycle involving node %d", n.ID)
-			}
+			cur = pi
+		}
+		if state[cur] == onWalk {
+			return fmt.Errorf("field: routing cycle involving node %d", n.ID)
+		}
+		for cur = i; state[cur] == onWalk; cur = byID[c.Nodes[cur].Parent] {
+			state[cur] = reaches
 		}
 	}
 	return nil

@@ -307,6 +307,70 @@ func TestFieldValidate(t *testing.T) {
 	}
 }
 
+// TestFieldValidateRouting pins the exact routing errors of Validate: the
+// reported node is the first in slice order whose walk toward the sink
+// fails, and an unknown hop names the missing parent ID.
+func TestFieldValidateRouting(t *testing.T) {
+	node := func(id, parent int) Node { return Node{ID: id, Parent: parent, SampleRate: 1} }
+	reversed := func(nodes []Node) []Node {
+		out := make([]Node, len(nodes))
+		for i, n := range nodes {
+			out[len(nodes)-1-i] = n
+		}
+		return out
+	}
+	deepUnknown := LineTopology(8, 0.5, 10)
+	deepUnknown[2].Parent = 99
+	mergeThenCycle := TreeTopology(13, 3, 0.5, 10)
+	mergeThenCycle = append(mergeThenCycle, node(20, 21), node(21, 22), node(22, 20), node(23, 21))
+	cases := []struct {
+		name  string
+		nodes []Node
+		want  string // "" means the routing is valid
+	}{
+		{"no sink", []Node{node(0, 1), node(1, 0)}, "field: no sink (a node with Parent == ID)"},
+		{"two sinks", []Node{node(0, 0), node(1, 1)}, "field: nodes 0 and 1 both claim to be the sink"},
+		{"unknown parent of a leaf", []Node{node(0, 0), node(1, 0), node(2, 7)},
+			"field: node 2 routes through unknown node 7"},
+		// Node 7 comes first and its walk crosses five known relays
+		// before hitting the unknown hop; nodes 3..6 fail the same way
+		// but later in slice order.
+		{"unknown parent deep in a chain", reversed(deepUnknown),
+			"field: node 7 routes through unknown node 99"},
+		{"cycle not containing the first node", []Node{node(0, 0), node(1, 0), node(2, 3), node(3, 4), node(4, 2)},
+			"field: routing cycle involving node 2"},
+		{"path leading into a cycle", []Node{node(0, 0), node(5, 2), node(1, 0), node(2, 3), node(3, 4), node(4, 2)},
+			"field: routing cycle involving node 5"},
+		{"cycle after the sink", []Node{node(3, 4), node(4, 3), node(0, 0)},
+			"field: routing cycle involving node 3"},
+		{"second sink behind a relay", []Node{node(0, 0), node(1, 2), node(2, 2)},
+			"field: nodes 0 and 2 both claim to be the sink"},
+		{"walks merge into verified paths", TreeTopology(40, 3, 0.5, 10), ""},
+		{"walks merge into verified paths, leaves first", reversed(TreeTopology(40, 3, 0.5, 10)), ""},
+		{"merging walks, then a cycle entered from outside", mergeThenCycle,
+			"field: routing cycle involving node 20"},
+		{"merging walks, then a walk into the cycle", append(TreeTopology(13, 3, 0.5, 10), node(23, 21), node(21, 22), node(22, 21)),
+			"field: routing cycle involving node 23"},
+		// At one walk to the sink per node this line costs ~2·10¹⁰ map
+		// lookups; it must be accepted, in linear time.
+		{"long line", LineTopology(200_000, 0.5, 10), ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(tc.nodes)
+			err := cfg.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("valid routing rejected: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatalf("accepted, want %q", tc.want)
+			case tc.want != "" && err.Error() != tc.want:
+				t.Fatalf("got %q, want %q", err.Error(), tc.want)
+			}
+		})
+	}
+}
+
 func TestTopologies(t *testing.T) {
 	for name, nodes := range map[string][]Node{
 		"line": LineTopology(6, 0.5, 10),

@@ -23,12 +23,23 @@ import (
 //     by the alive window at peak draw, and their budget reads empty;
 //   - with deaths the network lifetime is the measured first crossing;
 //     without, it stays the extrapolated minimum and survivors obey
-//     traffic monotonicity (more traffic never lengthens a lifetime).
+//     traffic monotonicity (more traffic never lengthens a lifetime);
+//   - every surviving non-sink node routes to its nearest surviving
+//     configured ancestor at exactly that distance, or, when its whole
+//     configured ancestor chain (sink included) died, reports its
+//     configured parent at distance zero (no route).
 func FuzzFieldSimulate(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint16(1000), uint16(300), uint8(10), uint16(65535))
 	f.Add(uint64(42), uint8(2), uint16(1), uint16(65535), uint8(0), uint16(40))
 	f.Add(uint64(20080901), uint8(6), uint16(30000), uint16(1), uint8(200), uint16(0))
 	f.Add(uint64(7), uint8(5), uint16(20000), uint16(500), uint8(120), uint16(5))
+	// Relay deaths that reroute survivors: two deaths with one survivor
+	// rerouted each, two deaths that leave a rerouted survivor and a
+	// survivor with no live route, and a subtree rerouted twice.
+	f.Add(uint64(3754706595986646116), uint8(2), uint16(64253), uint16(41372), uint8(233), uint16(3764))
+	f.Add(uint64(90178196500467851), uint8(5), uint16(32425), uint16(50995), uint8(251), uint16(4551))
+	f.Add(uint64(8883972972944883452), uint8(3), uint16(31559), uint16(34143), uint8(180), uint16(2536))
+	f.Add(uint64(20080808), uint8(191), uint16(29952), uint16(20), uint8(159), uint16(342))
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, rateRaw, radioRaw uint16, spacingRaw uint8, battRaw uint16) {
 		n := 2 + int(nRaw%6)
 		rng := xrand.New(seed)
@@ -153,6 +164,7 @@ func FuzzFieldSimulate(f *testing.F) {
 				}
 			}
 		}
+		checkReroutes(t, nodes, res)
 		if res.TotalEnergyJ != total {
 			t.Fatalf("TotalEnergyJ %v != sum %v", res.TotalEnergyJ, total)
 		}
@@ -199,4 +211,37 @@ func FuzzFieldSimulate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkReroutes asserts the reroute semantics on a finished field whose
+// nodes are indexed by ID: a survivor's reported parent is its nearest
+// configured ancestor that survived, at the Euclidean distance to it, and a
+// survivor with no surviving ancestor reports its configured parent at
+// distance zero.
+func checkReroutes(t *testing.T, nodes []Node, res *Result) {
+	t.Helper()
+	for _, nr := range res.Nodes {
+		if nr.Died || nr.Parent == nr.ID {
+			continue
+		}
+		cfgParent := nodes[nr.ID].Parent
+		ancestor := cfgParent
+		for res.Nodes[ancestor].Died && nodes[ancestor].Parent != ancestor {
+			ancestor = nodes[ancestor].Parent
+		}
+		if res.Nodes[ancestor].Died {
+			if nr.Parent != cfgParent || nr.Distance != 0 {
+				t.Fatalf("node %d: whole ancestor chain dead, but reports parent %d at %v m (want configured %d at 0 m)",
+					nr.ID, nr.Parent, nr.Distance, cfgParent)
+			}
+			continue
+		}
+		if nr.Parent != ancestor {
+			t.Fatalf("node %d: reports parent %d, want nearest surviving ancestor %d (deaths %+v)",
+				nr.ID, nr.Parent, ancestor, res.Deaths)
+		}
+		if want := Distance(nodes[nr.ID].Pos, nodes[ancestor].Pos); nr.Distance != want {
+			t.Fatalf("node %d: distance %v to parent %d, want %v", nr.ID, nr.Distance, ancestor, want)
+		}
+	}
 }

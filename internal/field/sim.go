@@ -207,6 +207,12 @@ type fieldSim struct {
 	hz       float64
 	sensePkJ float64 // sensing energy of one sample, charged per AR firing
 
+	// Children index over node indices: firstChild[i] heads the list of
+	// nodes currently routed through i, nextSibling[j] links j to the next
+	// entry of its parent's list; -1 ends a list. Built from the initial
+	// parents, it lets a death visit only the dead node's own children.
+	firstChild, nextSibling []int32
+
 	delivered       uint64
 	deaths          []DeathEvent
 	droppedInFlight uint64
@@ -261,6 +267,17 @@ func open(ctx context.Context, cfg Config) (*fieldSim, error) {
 			return nil, fmt.Errorf("field: node %d: %w", n.ID, err)
 		}
 		f.nodes[i] = nodeState{node: n, parent: parent, dist: dist, sess: sess, ids: cn.ids}
+	}
+	f.firstChild = make([]int32, len(nodes))
+	f.nextSibling = make([]int32, len(nodes))
+	for i := range f.firstChild {
+		f.firstChild[i] = -1
+	}
+	for i := range f.nodes {
+		if p := f.nodes[i].parent; p >= 0 {
+			f.nextSibling[i] = f.firstChild[p]
+			f.firstChild[p] = int32(i)
+		}
 	}
 	f.sensePkJ = cfg.Radio.SenseJ(cfg.Radio.PacketBits)
 	f.heap.init(len(f.nodes))
@@ -416,6 +433,13 @@ func (f *fieldSim) refresh(i int) {
 // current parent, live by induction (every earlier death rerouted this
 // node's subtree the same way). Children of a dead sink are left with no
 // route; their future packets are dropped at the sender.
+//
+// The reroute costs O(children of the dead node), not O(N): it walks only
+// i's list in the children index. The index stays exact because a node's
+// parent changes only here, and every change moves the node from the dead
+// parent's list onto the new parent's (or onto none, for no route). A list
+// may still hold entries that died after joining it; they are skipped and
+// dropped when their parent dies, since a dead node is never rerouted.
 func (f *fieldSim) kill(i int) {
 	n := &f.nodes[i]
 	td := n.deathAt
@@ -438,18 +462,22 @@ func (f *fieldSim) kill(i int) {
 	if newParent == parentSink {
 		newParent = parentNone
 	}
-	for j := range f.nodes {
+	for j := f.firstChild[i]; j >= 0; {
 		c := &f.nodes[j]
-		if !c.alive || c.parent != i {
-			continue
+		next := f.nextSibling[j]
+		if c.alive {
+			c.parent = newParent
+			if newParent >= 0 {
+				c.dist = Distance(c.node.Pos, f.nodes[newParent].node.Pos)
+				f.nextSibling[j] = f.firstChild[newParent]
+				f.firstChild[newParent] = j
+			} else {
+				c.dist = 0
+			}
 		}
-		c.parent = newParent
-		if newParent >= 0 {
-			c.dist = Distance(c.node.Pos, f.nodes[newParent].node.Pos)
-		} else {
-			c.dist = 0
-		}
+		j = next
 	}
+	f.firstChild[i] = -1
 	f.deaths = append(f.deaths, DeathEvent{ID: n.node.ID, Time: td, Dropped: uint64(dropped)})
 }
 
