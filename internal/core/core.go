@@ -31,7 +31,7 @@ type Config struct {
 	// service time of 0.1 s (mu = 10/s) for the queue to be stable; see
 	// DESIGN.md §2.
 	Mu float64
-	// PDT is the Power Down Threshold in seconds.
+	// PDT is the Power Down Threshold in seconds; +Inf never powers down.
 	PDT float64
 	// PUD is the Power Up Delay in seconds.
 	PUD float64
@@ -71,20 +71,21 @@ func (c Config) Validate() error {
 	if c.Lambda <= 0 || math.IsNaN(c.Lambda) {
 		return fmt.Errorf("core: Lambda must be positive, got %v", c.Lambda)
 	}
-	if c.Mu <= 0 || math.IsNaN(c.Mu) {
-		return fmt.Errorf("core: Mu must be positive, got %v", c.Mu)
+	if !(c.Mu > 0) || math.IsInf(c.Mu, 1) {
+		return fmt.Errorf("core: Mu must be positive and finite, got %v", c.Mu)
 	}
 	if c.Lambda >= c.Mu {
 		return fmt.Errorf("core: unstable queue: rho = %v >= 1", c.Lambda/c.Mu)
 	}
-	if c.PDT < 0 || c.PUD < 0 {
-		return fmt.Errorf("core: PDT and PUD must be non-negative, got %v and %v", c.PDT, c.PUD)
+	// PDT = +Inf is the never-sleep limit; PUD must be finite.
+	if !(c.PDT >= 0) || !(c.PUD >= 0) || math.IsInf(c.PUD, 1) {
+		return fmt.Errorf("core: PDT must be non-negative and PUD non-negative and finite, got %v and %v", c.PDT, c.PUD)
 	}
-	if c.SimTime <= 0 {
-		return fmt.Errorf("core: SimTime must be positive, got %v", c.SimTime)
+	if !(c.SimTime > 0) || math.IsInf(c.SimTime, 1) {
+		return fmt.Errorf("core: SimTime must be positive and finite, got %v", c.SimTime)
 	}
-	if c.Warmup < 0 {
-		return fmt.Errorf("core: Warmup must be non-negative, got %v", c.Warmup)
+	if !(c.Warmup >= 0) || math.IsInf(c.Warmup, 1) {
+		return fmt.Errorf("core: Warmup must be non-negative and finite, got %v", c.Warmup)
 	}
 	if c.Replications < 0 {
 		return fmt.Errorf("core: Replications must be non-negative, got %d", c.Replications)

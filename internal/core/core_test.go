@@ -33,11 +33,19 @@ func TestConfigValidate(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.Lambda = 0 },
 		func(c *Config) { c.Mu = 0 },
+		func(c *Config) { c.Mu = math.Inf(1) },
 		func(c *Config) { c.Lambda = c.Mu }, // rho = 1
 		func(c *Config) { c.PDT = -1 },
+		func(c *Config) { c.PDT = math.NaN() },
 		func(c *Config) { c.PUD = -1 },
+		func(c *Config) { c.PUD = math.NaN() },
+		func(c *Config) { c.PUD = math.Inf(1) },
 		func(c *Config) { c.SimTime = 0 },
+		func(c *Config) { c.SimTime = math.NaN() },
+		func(c *Config) { c.SimTime = math.Inf(1) },
 		func(c *Config) { c.Warmup = -1 },
+		func(c *Config) { c.Warmup = math.NaN() },
+		func(c *Config) { c.Warmup = math.Inf(1) },
 		func(c *Config) { c.Replications = -1 },
 	}
 	for i, mutate := range mutations {
@@ -45,6 +53,26 @@ func TestConfigValidate(t *testing.T) {
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// TestInfinitePDTIsNeverSleep: PDT = +Inf is valid, and the simulation
+// and Markov estimators both treat it as the never-sleep limit.
+func TestInfinitePDTIsNeverSleep(t *testing.T) {
+	cfg := PaperConfig()
+	cfg.PDT = math.Inf(1)
+	cfg.SimTime, cfg.Replications = 200, 2
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Estimator{Simulation{}, Markov{}} {
+		est, err := e.Estimate(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if est.Fractions[energy.Standby] != 0 || math.IsNaN(est.EnergyJ) {
+			t.Fatalf("%s at PDT=+Inf: %+v", e.Name(), est)
 		}
 	}
 }

@@ -10,6 +10,14 @@
 // service resumes. The simulator reports the time fraction spent in each of
 // the four power states (standby, power-up, idle, active), from which
 // equation 25 yields energy.
+//
+// The event loop allocates nothing per event. The one pending power-up or
+// service completion and the one PDT timer (cancelled by disarming it) are
+// fixed slots; pending arrivals (one for an open workload, one per
+// thinking customer for a closed one) sit in a value-typed min-heap.
+// Events dispatch in (time, schedule order), so simultaneous events
+// resolve in the order they were scheduled; events at exactly the horizon
+// still dispatch.
 package cpu
 
 import (
@@ -17,7 +25,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/des"
 	"repro/internal/dist"
 	"repro/internal/energy"
 	"repro/internal/stats"
@@ -62,7 +69,8 @@ type Config struct {
 	Closed *workload.Closed
 	// Service is the per-job service time distribution.
 	Service dist.Distribution
-	// PDT is the Power Down Threshold in seconds (used by PolicyTimeout).
+	// PDT is the Power Down Threshold in seconds (used by PolicyTimeout);
+	// +Inf never powers down.
 	PDT float64
 	// PUD is the Power Up Delay in seconds.
 	PUD float64
@@ -89,17 +97,18 @@ func (c Config) Validate() error {
 	if c.Service == nil {
 		return fmt.Errorf("cpu: Service distribution is required")
 	}
-	if c.PDT < 0 || math.IsNaN(c.PDT) {
+	// PDT = +Inf is allowed: the CPU never powers down (PolicyNeverSleep).
+	if !(c.PDT >= 0) {
 		return fmt.Errorf("cpu: PDT must be non-negative, got %v", c.PDT)
 	}
-	if c.PUD < 0 || math.IsNaN(c.PUD) {
-		return fmt.Errorf("cpu: PUD must be non-negative, got %v", c.PUD)
+	if !(c.PUD >= 0) || math.IsInf(c.PUD, 1) {
+		return fmt.Errorf("cpu: PUD must be non-negative and finite, got %v", c.PUD)
 	}
-	if c.SimTime <= 0 {
-		return fmt.Errorf("cpu: SimTime must be positive, got %v", c.SimTime)
+	if !(c.SimTime > 0) || math.IsInf(c.SimTime, 1) {
+		return fmt.Errorf("cpu: SimTime must be positive and finite, got %v", c.SimTime)
 	}
-	if c.Warmup < 0 {
-		return fmt.Errorf("cpu: Warmup must be non-negative, got %v", c.Warmup)
+	if !(c.Warmup >= 0) || math.IsInf(c.Warmup, 1) {
+		return fmt.Errorf("cpu: Warmup must be non-negative and finite, got %v", c.Warmup)
 	}
 	return nil
 }
@@ -126,22 +135,42 @@ func (r *Result) EnergyJoules(p energy.PowerModel, seconds float64) float64 {
 	return p.EnergyJoules(r.Fractions, seconds)
 }
 
-// job tracks one queued task.
-type job struct {
-	arrival  float64
-	customer int // closed-workload customer id, -1 for open
+// event is a pending event, or a queued job as its arrival event. Events
+// dispatch in (t, seq) order, seq numbering schedules in call order;
+// customer is an arrival's closed-workload customer (-1 when open).
+type event struct {
+	t        float64
+	seq      uint64
+	customer int
 }
+
+func (e event) before(f event) bool { return e.t < f.t || (e.t == f.t && e.seq < f.seq) }
+
+// unarmed fills an empty slot: it comes after every finite horizon.
+var unarmed = event{t: math.Inf(1)}
+
+// ctxCheckStride is how many dispatched events pass between context polls.
+const ctxCheckStride = 1024
 
 // sim is the run state.
 type sim struct {
 	cfg   Config
 	rng   *xrand.Rand
-	des   *des.Simulator
+	now   float64
+	seq   uint64 // next schedule sequence number
 	state energy.State
-	queue []job
 	trace *traceCollector
+	err   error // an invalid sampled delay; ends the run
 
-	pdtHandle des.Handle
+	// completion ends the current power-up (state PowerUp) or service
+	// (state Active); pdt is the power-down timer (state Idle). Both are
+	// unarmed otherwise.
+	completion, pdt event
+	// arrivals is a binary min-heap of the pending arrivals.
+	arrivals []event
+	// queue[head:] is the FIFO job queue.
+	queue []event
+	head  int
 
 	lastT   float64
 	fracAcc [energy.NumStates]float64
@@ -154,7 +183,10 @@ type sim struct {
 	served              uint64
 	maxQueue            int
 	cycles              uint64
-	exhausted           bool // open-workload source returned +Inf
+
+	// Inline buffers: a longer backlog or a closed population grows them.
+	queueInline [16]event
+	arrInline   [1]event
 }
 
 // Run executes one simulation and returns the measured result.
@@ -163,8 +195,10 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the event loop polls the
-// context every few hundred dispatched events and a cancelled context
-// aborts the run mid-simulation with ctx.Err().
+// context every 1024 dispatched events and a cancelled context aborts the
+// run mid-simulation with ctx.Err(). A Source or Distribution that draws a
+// negative or non-finite delay (other than a Source's +Inf, which ends the
+// arrivals) fails the run with an error.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -177,10 +211,14 @@ func runInternal(ctx context.Context, cfg Config, trace *traceCollector) (*Resul
 	s := &sim{
 		cfg:   cfg,
 		rng:   xrand.NewStream(cfg.Seed, 0),
-		des:   des.New(),
 		state: energy.Standby,
 		trace: trace,
+		// Slots start unarmed.
+		completion: unarmed,
+		pdt:        unarmed,
 	}
+	s.queue = s.queueInline[:0]
+	s.arrivals = s.arrInline[:0]
 	s.queueAcc.Start(0, 0)
 	if trace != nil {
 		trace.onState(0, s.state)
@@ -188,15 +226,14 @@ func runInternal(ctx context.Context, cfg Config, trace *traceCollector) (*Resul
 
 	if cfg.Closed != nil {
 		for c := 0; c < cfg.Closed.Customers; c++ {
-			customer := c
-			s.des.Schedule(cfg.Closed.Think.Sample(s.rng), 0, func() { s.arrive(customer) })
+			s.pushArrival(cfg.Closed.Think.Sample(s.rng), c, "think time")
 		}
 	} else {
 		s.scheduleNextArrival()
 	}
 
 	horizon := cfg.Warmup + cfg.SimTime
-	if _, err := s.des.RunUntilContext(ctx, horizon); err != nil {
+	if err := s.run(ctx, horizon); err != nil {
 		return nil, err
 	}
 	s.integrateTo(horizon)
@@ -217,6 +254,99 @@ func runInternal(ctx context.Context, cfg Config, trace *traceCollector) (*Resul
 	return res, nil
 }
 
+// run dispatches pending events in (time, schedule sequence) order until
+// none is left at or before the horizon.
+func (s *sim) run(ctx context.Context, horizon float64) error {
+	const complete, powerDown, arrive = 0, 1, 2
+	for countdown := ctxCheckStride; s.err == nil; {
+		if countdown--; countdown <= 0 && ctx != nil {
+			countdown = ctxCheckStride
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		next, kind := s.completion, complete
+		if s.pdt.before(next) {
+			next, kind = s.pdt, powerDown
+		}
+		if len(s.arrivals) > 0 && s.arrivals[0].before(next) {
+			next, kind = s.arrivals[0], arrive
+		}
+		if next.t > horizon {
+			return nil
+		}
+		s.now = next.t
+		switch kind {
+		case complete:
+			// The state tells which completion it is: a power-up
+			// completes only in PowerUp and a service only in Active.
+			s.completion = unarmed
+			if s.state == energy.PowerUp {
+				s.powerUpDone()
+			} else {
+				s.depart()
+			}
+		case powerDown:
+			s.pdt = unarmed
+			s.setState(energy.Standby)
+		case arrive:
+			s.arrive(s.popArrival().customer)
+		}
+	}
+	return s.err
+}
+
+// schedule returns the event delay from now, taking the next sequence
+// number. A user-supplied Source or Distribution that drew a negative or
+// non-finite delay fails the run instead, and the event stays unarmed.
+func (s *sim) schedule(delay float64, customer int, what string) (event, bool) {
+	e := event{t: s.now + delay, seq: s.seq, customer: customer}
+	if !(delay >= 0) || math.IsInf(e.t, 1) {
+		if s.err == nil {
+			s.err = fmt.Errorf("cpu: %s drew invalid delay %v at t=%v", what, delay, s.now)
+		}
+		return unarmed, false
+	}
+	s.seq++
+	return e, true
+}
+
+// pushArrival schedules an arrival delay from now.
+func (s *sim) pushArrival(delay float64, customer int, what string) {
+	e, ok := s.schedule(delay, customer, what)
+	if !ok {
+		return
+	}
+	h := append(s.arrivals, e)
+	for i := len(h) - 1; i > 0 && h[i].before(h[(i-1)/2]); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+	s.arrivals = h
+}
+
+// popArrival removes and returns the earliest arrival.
+func (s *sim) popArrival() event {
+	h, n := s.arrivals, len(s.arrivals)-1
+	top := h[0]
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < n && h[c].before(h[m]) {
+				m = c
+			}
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	s.arrivals = h
+	return top
+}
+
 // warmupQueueIntegral is captured when the clock first passes the warmup
 // boundary; see integrateTo.
 func (s *sim) integrateTo(now float64) {
@@ -235,15 +365,16 @@ func (s *sim) integrateTo(now float64) {
 
 // setState accumulates elapsed time in the old state and switches.
 func (s *sim) setState(ns energy.State) {
-	s.integrateTo(s.des.Now())
+	s.integrateTo(s.now)
 	s.state = ns
 	if s.trace != nil {
-		s.trace.onState(s.des.Now(), ns)
+		s.trace.onState(s.now, ns)
 	}
 }
 
-func (s *sim) setQueueLen(n int) {
-	s.queueAcc.Set(s.des.Now(), float64(n))
+func (s *sim) setQueueLen() {
+	n := len(s.queue) - s.head
+	s.queueAcc.Set(s.now, float64(n))
 	if n > s.maxQueue {
 		s.maxQueue = n
 	}
@@ -252,20 +383,23 @@ func (s *sim) setQueueLen(n int) {
 func (s *sim) scheduleNextArrival() {
 	gap := s.cfg.Arrivals.Next(s.rng)
 	if math.IsInf(gap, 1) {
-		s.exhausted = true
-		return
+		return // the source is exhausted
 	}
-	s.des.ScheduleAfter(gap, 0, func() { s.arrive(-1) })
+	s.pushArrival(gap, -1, "arrival source")
 }
 
 // arrive handles a job arrival (customer >= 0 for closed workloads).
 func (s *sim) arrive(customer int) {
-	now := s.des.Now()
-	if now >= s.cfg.Warmup {
+	if s.now >= s.cfg.Warmup {
 		s.arrived++
 	}
-	s.queue = append(s.queue, job{arrival: now, customer: customer})
-	s.setQueueLen(len(s.queue))
+	if s.head > 0 && len(s.queue) == cap(s.queue) {
+		// Slide the live jobs down before append would grow the buffer.
+		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
+		s.head = 0
+	}
+	s.queue = append(s.queue, event{t: s.now, customer: customer})
+	s.setQueueLen()
 	if customer < 0 {
 		s.scheduleNextArrival()
 	}
@@ -273,10 +407,10 @@ func (s *sim) arrive(customer int) {
 	case energy.Standby:
 		s.setState(energy.PowerUp)
 		s.cycles++
-		s.des.ScheduleAfter(s.cfg.PUD, 0, s.powerUpDone)
+		s.completion, _ = s.schedule(s.cfg.PUD, -1, "power-up delay")
 	case energy.Idle:
 		// Cancel the pending power-down timer and begin service.
-		s.des.Cancel(s.pdtHandle)
+		s.pdt = unarmed
 		s.startService()
 	case energy.PowerUp, energy.Active:
 		// Job waits in the queue.
@@ -284,7 +418,7 @@ func (s *sim) arrive(customer int) {
 }
 
 func (s *sim) powerUpDone() {
-	if len(s.queue) > 0 {
+	if len(s.queue) > s.head {
 		s.startService()
 		return
 	}
@@ -295,30 +429,31 @@ func (s *sim) powerUpDone() {
 
 func (s *sim) startService() {
 	s.setState(energy.Active)
-	service := s.cfg.Service.Sample(s.rng)
-	s.des.ScheduleAfter(service, 0, s.depart)
+	s.completion, _ = s.schedule(s.cfg.Service.Sample(s.rng), -1, "service time")
 }
 
 func (s *sim) depart() {
-	now := s.des.Now()
-	j := s.queue[0]
-	s.queue = s.queue[1:]
-	s.setQueueLen(len(s.queue))
-	if now >= s.cfg.Warmup {
+	j := s.queue[s.head]
+	if s.head++; s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
+	s.setQueueLen()
+	if s.now >= s.cfg.Warmup {
 		s.served++
-		s.latency.Add(now - j.arrival)
+		s.latency.Add(s.now - j.t)
 	}
 	if s.cfg.Closed != nil {
-		customer := j.customer
-		s.des.ScheduleAfter(s.cfg.Closed.Think.Sample(s.rng), 0, func() { s.arrive(customer) })
+		s.pushArrival(s.cfg.Closed.Think.Sample(s.rng), j.customer, "think time")
 	}
-	if len(s.queue) > 0 {
+	if len(s.queue) > s.head {
 		s.startService()
 		return
 	}
 	s.becomeIdle()
 }
 
+// becomeIdle applies the power policy when the queue empties. PDT = +Inf
+// under PolicyTimeout is the never-sleep limit.
 func (s *sim) becomeIdle() {
 	switch s.cfg.Policy {
 	case PolicyNeverSleep:
@@ -331,8 +466,8 @@ func (s *sim) becomeIdle() {
 			return
 		}
 		s.setState(energy.Idle)
-		s.pdtHandle = s.des.ScheduleAfter(s.cfg.PDT, 0, func() {
-			s.setState(energy.Standby)
-		})
+		if !math.IsInf(s.cfg.PDT, 1) {
+			s.pdt, _ = s.schedule(s.cfg.PDT, -1, "power-down threshold")
+		}
 	}
 }

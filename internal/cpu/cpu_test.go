@@ -33,9 +33,17 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.Closed = &workload.Closed{Customers: 1, Think: dist.ExpMean(1)} }, // both set
 		func(c *Config) { c.Service = nil },
 		func(c *Config) { c.PDT = -1 },
+		func(c *Config) { c.PDT = math.NaN() },
+		func(c *Config) { c.PDT = math.Inf(-1) },
 		func(c *Config) { c.PUD = -1 },
+		func(c *Config) { c.PUD = math.NaN() },
+		func(c *Config) { c.PUD = math.Inf(1) },
 		func(c *Config) { c.SimTime = 0 },
+		func(c *Config) { c.SimTime = math.NaN() },
+		func(c *Config) { c.SimTime = math.Inf(1) },
 		func(c *Config) { c.Warmup = -1 },
+		func(c *Config) { c.Warmup = math.NaN() },
+		func(c *Config) { c.Warmup = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		c := paperConfig(0.5, 0.001)
@@ -410,10 +418,38 @@ func BenchmarkRunPaperSecond(b *testing.B) {
 	cfg.SimTime = 1000
 	cfg.Warmup = 0
 	b.ReportAllocs()
+	jobs := uint64(0)
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i)
-		if _, err := Run(cfg); err != nil {
+		res, err := Run(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		jobs += res.JobsServed
+	}
+	if jobs > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
+	}
+}
+
+// TestRunAllocsIndependentOfHorizon is the allocation gate of the event
+// loop: a run allocates a fixed handful of objects up front and nothing
+// per event, so a 100x longer horizon costs no extra allocation.
+func TestRunAllocsIndependentOfHorizon(t *testing.T) {
+	allocs := func(simTime float64) float64 {
+		cfg := paperConfig(0.5, 0.001)
+		cfg.SimTime = simTime
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(1e3), allocs(1e5)
+	if short != long {
+		t.Fatalf("allocations grow with the horizon: %v at SimTime 1e3, %v at 1e5", short, long)
+	}
+	if long > 8 {
+		t.Fatalf("Run allocates %v times, want at most 8", long)
 	}
 }

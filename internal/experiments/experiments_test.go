@@ -238,6 +238,17 @@ func TestWorkloadComparison(t *testing.T) {
 	}
 }
 
+// TestCTMCCrossCheckRejectsInfinitePDT: the exponentialized net has no
+// finite-rate stand-in for PDT = +Inf; the experiment says so instead of
+// panicking.
+func TestCTMCCrossCheckRejectsInfinitePDT(t *testing.T) {
+	opt := quickOptions()
+	opt.Base.PDT = math.Inf(1)
+	if _, err := CTMCCrossCheck(opt); err == nil || !strings.Contains(err.Error(), "finite") {
+		t.Fatalf("err = %v, want a finite-PDT error", err)
+	}
+}
+
 func TestCTMCCrossCheckAgreement(t *testing.T) {
 	opt := quickOptions()
 	tb, err := CTMCCrossCheck(opt)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -179,6 +180,9 @@ func CTMCCrossCheck(opt Options) (*report.Table, error) {
 	opt = opt.withDefaults()
 	cfg := opt.Base
 	cfg.PUD = 0.3
+	if math.IsInf(cfg.PDT, 1) {
+		return nil, fmt.Errorf("experiments: the CTMC cross-check exponentializes PDT and needs it finite, got %v", cfg.PDT)
+	}
 	const queueCap = 40
 	n := core.BuildCPUNetExp(cfg, queueCap)
 	exact, err := petri.SolveCTMC(n, petri.ReachOptions{})

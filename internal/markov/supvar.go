@@ -56,11 +56,22 @@ func (m CPUModel) denominator() float64 {
 	return math.Exp(m.Lambda*m.T) + (1-rho)*(1-math.Exp(-m.Lambda*m.D)) + rho*m.Lambda*m.D
 }
 
+// neverSleeps reports that e^{λT} overflows (T = +Inf, the never-sleep
+// policy, or a threshold beyond ~709/λ seconds). The closed forms then
+// evaluate Inf/Inf; their limit is the M/M/1 queue, which they equal to
+// double precision because the standby share is below e^{-λT}.
+func (m CPUModel) neverSleeps() bool {
+	return math.IsInf(math.Exp(m.Lambda*m.T), 1)
+}
+
 // StateProbs returns the stationary probabilities of the four processor
 // states. Standby is equation (17), PowerUp is (18), Idle follows from
 // (12), and Active is the utilization G0(1) of equation (19). The four
 // values sum to 1 analytically.
 func (m CPUModel) StateProbs() energy.Fractions {
+	if m.neverSleeps() {
+		return m.MM1Probs()
+	}
 	rho := m.Rho()
 	den := m.denominator()
 	ps := (1 - rho) / den
@@ -79,6 +90,9 @@ func (m CPUModel) StateProbs() energy.Fractions {
 // (equation 21).
 func (m CPUModel) MeanJobs() float64 {
 	rho := m.Rho()
+	if m.neverSleeps() {
+		return rho / (1 - rho)
+	}
 	lam := m.Lambda
 	den := m.denominator()
 	num := math.Exp(lam*m.T) + 0.5*(1-rho)*lam*lam*m.D*m.D + (2-rho)*lam*m.D
@@ -111,9 +125,9 @@ func (m CPUModel) EnergyJoulesOver(p energy.PowerModel, seconds float64) float64
 	return p.EnergyJoules(m.StateProbs(), seconds)
 }
 
-// MM1Probs returns the reference M/M/1 limit of the model (T -> infinity,
-// D = 0): utilization rho and idle probability 1-rho. Used as a validation
-// anchor in tests.
+// MM1Probs returns the M/M/1 limit of the model (T -> infinity: the CPU
+// never powers down, so D no longer matters): utilization rho and idle
+// probability 1-rho.
 func (m CPUModel) MM1Probs() energy.Fractions {
 	rho := m.Rho()
 	var f energy.Fractions

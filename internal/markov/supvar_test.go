@@ -86,6 +86,20 @@ func TestMM1LimitLargeT(t *testing.T) {
 	}
 }
 
+// TestNeverSleepLimit: T = +Inf (and any T large enough that e^{λT}
+// overflows) is the M/M/1 limit, not Inf/Inf = NaN.
+func TestNeverSleepLimit(t *testing.T) {
+	for _, T := range []float64{math.Inf(1), 800} {
+		m := paperModel(T, 10)
+		if p := m.StateProbs(); p != m.MM1Probs() {
+			t.Fatalf("T=%v: StateProbs = %v, want the M/M/1 limit %v", T, p, m.MM1Probs())
+		}
+		if got, want := m.MeanJobs(), m.Rho()/(1-m.Rho()); got != want {
+			t.Fatalf("T=%v: L = %v, want %v", T, got, want)
+		}
+	}
+}
+
 // TestImmediateSleepLimit: at T = 0 and D = 0 the CPU sleeps whenever the
 // queue is empty: standby = 1-rho, active = rho, idle = 0.
 func TestImmediateSleepLimit(t *testing.T) {

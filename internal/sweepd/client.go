@@ -102,11 +102,12 @@ func (c *Client) Submit(req SubmitRequest) (string, error) {
 }
 
 // Lease polls for work, asking the coordinator to hold a LeaseWait
-// answer for up to wait (0 answers at once). Cancelling ctx abandons a
-// held poll.
-func (c *Client) Lease(ctx context.Context, worker string, wait time.Duration) (LeaseResponse, error) {
+// answer for up to wait (0 answers at once). Cancelling ctx cuts a held
+// poll short; a poll sent with a pollID can then be abandoned with
+// AbandonPoll, so a lease the coordinator granted it is not left behind.
+func (c *Client) Lease(ctx context.Context, worker, pollID string, wait time.Duration) (LeaseResponse, error) {
 	var resp LeaseResponse
-	req := LeaseRequest{Version: ProtocolVersion, Worker: worker, WaitMS: wait.Milliseconds()}
+	req := LeaseRequest{Version: ProtocolVersion, Worker: worker, WaitMS: wait.Milliseconds(), PollID: pollID}
 	err := c.call(ctx, http.MethodPost, "/v1/lease", req, &resp)
 	if err != nil {
 		return LeaseResponse{}, err
@@ -132,6 +133,12 @@ func (c *Client) Results(leaseID string, sub ResultSubmission) error {
 // Fail reports that a lease could not be run.
 func (c *Client) Fail(leaseID, msg string) error {
 	return c.call(context.TODO(), http.MethodPost, "/v1/lease/"+leaseID+"/fail", FailRequest{Version: ProtocolVersion, Error: msg}, nil)
+}
+
+// AbandonPoll tells the coordinator that the poll sent with pollID was
+// cut short and its answer will never be read.
+func (c *Client) AbandonPoll(ctx context.Context, pollID string) error {
+	return c.call(ctx, http.MethodPost, "/v1/poll/abandon", AbandonRequest{Version: ProtocolVersion, PollID: pollID}, nil)
 }
 
 // Ready reports whether the coordinator answers its readiness probe —

@@ -73,6 +73,8 @@ type lease struct {
 	// (each holds the other's id while both live).
 	speculative bool
 	rival       string
+	// poll is the PollID of the lease poll that was granted this lease.
+	poll string
 }
 
 // sweep is the coordinator's state for one submitted sweep.
@@ -118,6 +120,9 @@ type Coordinator struct {
 	// kick is closed (and dropped) by kickLocked to wake every held lease
 	// poll; nil while no poll is held.
 	kick chan struct{}
+	// abandoned maps the PollIDs of abandoned polls to when they were
+	// abandoned; such a poll is never granted work (see AbandonPoll).
+	abandoned map[string]time.Time
 }
 
 // NewCoordinator builds a purely in-memory coordinator; zero-value
@@ -298,12 +303,12 @@ func (c *Coordinator) weightLocked(methods []string) shard.WeightFunc {
 	}
 }
 
-// grantLocked journals and issues one lease for a partition. spec marks a
-// shadow lease; rivalID links it to the lease it races.
-func (c *Coordinator) grantLocked(sw *sweep, part pending, worker string, now time.Time, spec bool, rivalID string) (*lease, error) {
+// grantLocked journals and issues one lease for a partition to the poll
+// req. spec marks a shadow lease; rivalID links it to the lease it races.
+func (c *Coordinator) grantLocked(sw *sweep, part pending, req LeaseRequest, now time.Time, spec bool, rivalID string) (*lease, error) {
 	id := fmt.Sprintf("l%d", c.nextLease+1)
 	if err := c.appendLocked(record{
-		Kind: recLease, Sweep: sw.id, Lease: id, Worker: worker,
+		Kind: recLease, Sweep: sw.id, Lease: id, Worker: req.Worker,
 		ShardIndex: part.shard.Index, Speculative: spec,
 	}); err != nil {
 		return nil, err
@@ -312,7 +317,8 @@ func (c *Coordinator) grantLocked(sw *sweep, part pending, worker string, now ti
 	l := &lease{
 		id:          id,
 		sweepID:     sw.id,
-		worker:      worker,
+		worker:      req.Worker,
+		poll:        req.PollID,
 		part:        part,
 		started:     now,
 		deadline:    now.Add(c.opts.LeaseTTL),
@@ -433,8 +439,12 @@ func (c *Coordinator) kickLocked() {
 	}
 }
 
-// leaseLocked is Lease's body; the caller holds c.mu.
+// leaseLocked is Lease's body; the caller holds c.mu. An abandoned poll
+// is answered LeaseBye: its worker has left.
 func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time) (LeaseResponse, error) {
+	if _, gone := c.abandoned[req.PollID]; gone && req.PollID != "" {
+		return LeaseResponse{Version: ProtocolVersion, Status: LeaseBye}, nil
+	}
 	if !c.ready.Load() {
 		return LeaseResponse{Version: ProtocolVersion, Status: LeaseWait}, nil
 	}
@@ -448,7 +458,7 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time) (LeaseRespons
 			continue
 		}
 		part := sw.queue[0]
-		l, err := c.grantLocked(sw, part, req.Worker, now, false, "")
+		l, err := c.grantLocked(sw, part, req, now, false, "")
 		if err != nil {
 			return LeaseResponse{}, err
 		}
@@ -458,7 +468,7 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time) (LeaseRespons
 		return c.leaseResponseLocked(sw, l), nil
 	}
 	if !c.opts.NoSpeculation {
-		if resp, ok, err := c.speculateLocked(req.Worker, now); err != nil {
+		if resp, ok, err := c.speculateLocked(req, now); err != nil {
 			return LeaseResponse{}, err
 		} else if ok {
 			return resp, nil
@@ -477,7 +487,7 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time) (LeaseRespons
 // per lease, never against the same worker's own lease, and only while
 // the cost table actually predicts (an unsampled table predicts zero and
 // never speculates).
-func (c *Coordinator) speculateLocked(worker string, now time.Time) (LeaseResponse, bool, error) {
+func (c *Coordinator) speculateLocked(req LeaseRequest, now time.Time) (LeaseResponse, bool, error) {
 	ids := make([]string, 0, len(c.leases))
 	for id := range c.leases {
 		ids = append(ids, id)
@@ -485,7 +495,7 @@ func (c *Coordinator) speculateLocked(worker string, now time.Time) (LeaseRespon
 	sort.Strings(ids)
 	for _, id := range ids {
 		l := c.leases[id]
-		if l.rival != "" || l.worker == worker {
+		if l.rival != "" || l.worker == req.Worker {
 			continue
 		}
 		sw := c.sweeps[l.sweepID]
@@ -496,13 +506,13 @@ func (c *Coordinator) speculateLocked(worker string, now time.Time) (LeaseRespon
 		if predicted <= 0 || predicted <= l.deadline.Sub(now).Seconds() {
 			continue
 		}
-		shadow, err := c.grantLocked(sw, l.part, worker, now, true, l.id)
+		shadow, err := c.grantLocked(sw, l.part, req, now, true, l.id)
 		if err != nil {
 			return LeaseResponse{}, false, err
 		}
 		l.rival = shadow.id
 		c.logf("lease %s: speculating sweep %s shard %d against straggler %s (predicted %.1fs, %.1fs left) -> worker %q",
-			shadow.id, sw.id, l.part.shard.Index, l.id, predicted, l.deadline.Sub(now).Seconds(), worker)
+			shadow.id, sw.id, l.part.shard.Index, l.id, predicted, l.deadline.Sub(now).Seconds(), req.Worker)
 		return c.leaseResponseLocked(sw, shadow), true, nil
 	}
 	return LeaseResponse{}, false, nil
@@ -659,6 +669,48 @@ func (c *Coordinator) Fail(leaseID string, req FailRequest) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(now)
+	return c.failLocked(leaseID, req.Error)
+}
+
+// abandonMemory is how long an abandoned PollID stays barred from grants:
+// a poll request still in flight when its worker abandons it reaches the
+// coordinator well within this.
+const abandonMemory = 10 * time.Second
+
+// AbandonPoll handles a worker that cut a lease poll short and will never
+// read the answer. A lease already granted to the poll, which would
+// otherwise sit in the worker's name until its TTL ran out, is failed
+// back; a poll not yet answered (held, or still in flight) is barred from
+// work. Either way no lease is outstanding for the poll afterwards.
+func (c *Coordinator) AbandonPoll(req AbandonRequest) error {
+	if req.Version != ProtocolVersion {
+		return fmt.Errorf("sweepd: abandon version %d, want %d", req.Version, ProtocolVersion)
+	}
+	if req.PollID == "" {
+		return fmt.Errorf("sweepd: abandon names no poll")
+	}
+	now := c.opts.Clock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for id, at := range c.abandoned {
+		if now.Sub(at) > abandonMemory {
+			delete(c.abandoned, id)
+		}
+	}
+	if c.abandoned == nil {
+		c.abandoned = make(map[string]time.Time)
+	}
+	c.abandoned[req.PollID] = now
+	for id, l := range c.leases {
+		if l.poll == req.PollID {
+			return c.failLocked(id, "the worker abandoned the poll this lease answered")
+		}
+	}
+	return nil
+}
+
+// failLocked releases a lease as failed; the caller holds c.mu.
+func (c *Coordinator) failLocked(leaseID, msg string) error {
 	l, ok := c.leases[leaseID]
 	if !ok {
 		return fmt.Errorf("sweepd: lease %s not found (expired or completed)", leaseID)
@@ -670,11 +722,11 @@ func (c *Coordinator) Fail(leaseID string, req FailRequest) error {
 	delete(c.leases, leaseID)
 	sw.active--
 	c.logf("lease %s: worker %q failed sweep %s shard %d: %s",
-		leaseID, l.worker, sw.id, l.part.shard.Index, req.Error)
+		leaseID, l.worker, sw.id, l.part.shard.Index, msg)
 	if rival := c.unlinkRivalLocked(l); rival != nil {
 		c.logf("lease %s: rival %s still racing the partition; no requeue", leaseID, rival.id)
 	} else {
-		c.requeueLocked(sw, l.part, requeueFailed, req.Error)
+		c.requeueLocked(sw, l.part, requeueFailed, msg)
 	}
 	c.maybeFinishLocked(sw)
 	return nil

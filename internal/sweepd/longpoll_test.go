@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -61,7 +62,7 @@ func startHeldPoll(t *testing.T, c *Coordinator, client *Client, worker string) 
 	t.Helper()
 	out := make(chan pollResult, 1)
 	go func() {
-		resp, err := client.Lease(context.Background(), worker, 5*time.Second)
+		resp, err := client.Lease(context.Background(), worker, "", 5*time.Second)
 		out <- pollResult{resp, err, time.Now()}
 	}()
 	waitHeld(t, c)
@@ -191,7 +192,7 @@ func TestHeldPollRacingSubmit(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		res := make(chan pollResult, 1)
 		go func() {
-			resp, err := client.Lease(context.Background(), "w", 5*time.Second)
+			resp, err := client.Lease(context.Background(), "w", "", 5*time.Second)
 			res <- pollResult{resp, err, time.Now()}
 		}()
 		time.Sleep(time.Duration(i%5) * 100 * time.Microsecond)
@@ -247,7 +248,7 @@ func TestHeldPollTimesOut(t *testing.T) {
 	const hold = 100 * time.Millisecond
 	for _, wait := range []time.Duration{0, hold} {
 		start := time.Now()
-		resp, err := client.Lease(context.Background(), "w", wait)
+		resp, err := client.Lease(context.Background(), "w", "", wait)
 		took := time.Since(start)
 		if err != nil {
 			t.Fatal(err)
@@ -369,6 +370,94 @@ func TestHeldPollWorkerDrain(t *testing.T) {
 	}
 	if sw, err := c.SweepStatus(id); err != nil || sw.Queued != 1 {
 		t.Fatalf("sweep after drain = (%+v, %v), want its partition queued", sw, err)
+	}
+}
+
+// grantThenDrain is an http.RoundTripper that lets the first lease poll
+// reach the coordinator and be granted work, then closes drain and drops
+// the answer, exactly as a drain that cancels the poll while the grant is
+// on the wire would: it waits for the poll's context to end and returns
+// its error instead of the response.
+type grantThenDrain struct {
+	base  http.RoundTripper
+	drain chan struct{}
+	once  sync.Once
+}
+
+func (g *grantThenDrain) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := g.base.RoundTrip(req)
+	if err != nil || req.URL.Path != "/v1/lease" {
+		return resp, err
+	}
+	dropped := false
+	g.once.Do(func() {
+		resp.Body.Close()
+		close(g.drain)
+		<-req.Context().Done()
+		dropped = true
+	})
+	if dropped {
+		return nil, req.Context().Err()
+	}
+	return resp, nil
+}
+
+// TestHeldPollGrantVersusDrain: a drain that cancels a poll the
+// coordinator already answered with work must not orphan that lease. The
+// worker abandons the cut-short poll, the coordinator fails the lease
+// back, and when Work returns nothing is leased in the worker's name and
+// the partition is queued again.
+func TestHeldPollGrantVersusDrain(t *testing.T) {
+	c := NewCoordinator(Options{})
+	srv, _ := serveTest(t, c)
+	id := submitTest(t, c, 2, 1)
+	drain := make(chan struct{})
+	transport := &grantThenDrain{base: srv.Client().Transport, drain: drain}
+	err := Work(context.Background(), WorkerOptions{
+		Coordinator: srv.URL,
+		Name:        "first-shift",
+		Client:      &http.Client{Transport: transport},
+		Backoff:     Backoff{Base: time.Millisecond, Max: time.Millisecond, Factor: 1},
+		Drain:       drain,
+	})
+	if err != nil {
+		t.Fatalf("drained worker errored: %v", err)
+	}
+	select {
+	case <-drain:
+	default:
+		t.Fatal("the poll was never granted work")
+	}
+	if st := c.Status(); len(st.Leases) != 0 {
+		t.Fatalf("drained worker left leases outstanding: %+v", st.Leases)
+	}
+	sw, err := c.SweepStatus(id)
+	if err != nil || sw.Leased != 0 || sw.Queued != 1 {
+		t.Fatalf("sweep after drain = (%+v, %v), want its partition queued again", sw, err)
+	}
+}
+
+// TestAbandonedPollIsNeverGranted: a poll abandoned before the
+// coordinator sees it (still in flight) is answered LeaseBye, not work,
+// while other polls are served as usual.
+func TestAbandonedPollIsNeverGranted(t *testing.T) {
+	c := NewCoordinator(Options{})
+	submitTest(t, c, 2, 1)
+	if err := c.AbandonPoll(AbandonRequest{Version: ProtocolVersion, PollID: "w/1"}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Lease(LeaseRequest{Version: ProtocolVersion, Worker: "w", PollID: "w/1"})
+	if err != nil || resp.Status != LeaseBye {
+		t.Fatalf("abandoned poll answered (%+v, %v), want LeaseBye", resp, err)
+	}
+	resp, err = c.Lease(LeaseRequest{Version: ProtocolVersion, Worker: "w", PollID: "w/2"})
+	if err != nil || resp.Status != LeaseWork {
+		t.Fatalf("fresh poll answered (%+v, %v), want work", resp, err)
+	}
+	for _, bad := range []AbandonRequest{{Version: ProtocolVersion}, {Version: ProtocolVersion + 1, PollID: "x"}} {
+		if err := c.AbandonPoll(bad); err == nil {
+			t.Errorf("AbandonPoll(%+v) accepted", bad)
+		}
 	}
 }
 

@@ -142,6 +142,18 @@ type LeaseRequest struct {
 	// the coordinator drains (a long poll). The coordinator clamps it to
 	// [0, DefaultBackoff.Max]; 0 answers at once.
 	WaitMS int64 `json:"wait_ms,omitempty"`
+	// PollID, when set, names this poll uniquely so the worker can abandon
+	// it after cutting it short (AbandonRequest).
+	PollID string `json:"poll_id,omitempty"`
+}
+
+// AbandonRequest tells the coordinator that a worker cut the named poll
+// short (drain or cancellation mid-hold) and will never read its answer.
+// A lease already granted to the poll is revoked and its partition
+// requeued; a poll not yet answered is answered LeaseBye instead of work.
+type AbandonRequest struct {
+	Version int    `json:"version"`
+	PollID  string `json:"poll_id"`
 }
 
 // Lease poll outcomes.
@@ -152,7 +164,8 @@ const (
 	// once without one); poll again, after whatever remains of the
 	// backoff delay the hold did not already spend.
 	LeaseWait = "wait"
-	// LeaseBye: the coordinator is draining; the worker should exit.
+	// LeaseBye: the coordinator is draining, or the worker abandoned this
+	// poll; the worker should exit.
 	LeaseBye = "bye"
 )
 

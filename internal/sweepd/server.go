@@ -27,6 +27,7 @@ const maxBodyBytes = 16 << 20
 //	POST /v1/lease/{id}/heartbeat
 //	POST /v1/lease/{id}/results  submit a lease's results (ResultSubmission)
 //	POST /v1/lease/{id}/fail     report a lease failure (FailRequest)
+//	POST /v1/poll/abandon        a worker cut a poll short (AbandonRequest)
 //	GET  /v1/status              whole-service status
 //	GET  /v1/healthz             process liveness (always 200)
 //	GET  /v1/readyz              200 once journal replay finished, else 503
@@ -104,6 +105,17 @@ func Handler(c *Coordinator) http.Handler {
 		}
 		if err := c.Fail(r.PathValue("id"), req); err != nil {
 			writeError(w, http.StatusConflict, err)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.HandleFunc("POST /v1/poll/abandon", func(w http.ResponseWriter, r *http.Request) {
+		var req AbandonRequest
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		if err := c.AbandonPoll(req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)

@@ -586,7 +586,7 @@ func TestRunLeasePaths(t *testing.T) {
 	runLease(context.Background(), client, WorkerOptions{}, LeaseResponse{LeaseID: "l999", Status: LeaseWork}, logf)
 
 	// A real lease run through a local file cache completes the sweep.
-	lease, err := client.Lease(context.Background(), "w", 0)
+	lease, err := client.Lease(context.Background(), "w", "", 0)
 	if err != nil || lease.Status != LeaseWork {
 		t.Fatalf("lease = (%+v, %v)", lease, err)
 	}

@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"math"
@@ -51,6 +52,10 @@ func (b Backoff) Delay(attempt int) time.Duration {
 // re-run, never correctness.
 const submitRetries = 5
 
+// abandonTimeout bounds the AbandonPoll request a worker sends after
+// cutting a poll short, so an unreachable coordinator cannot stall a drain.
+const abandonTimeout = 2 * time.Second
+
 // errorBudget is how many consecutive failed polls a worker tolerates
 // before concluding the coordinator is gone for good.
 const errorBudget = 8
@@ -81,7 +86,8 @@ type WorkerOptions struct {
 	CacheDir string
 	// Drain, when non-nil and closed, asks the worker to exit gracefully:
 	// the current lease runs to completion (or clean failure), a held
-	// poll is abandoned, and no new lease is polled for. Cancelling ctx
+	// poll is abandoned (failing back any lease granted to it meanwhile),
+	// and no new lease is polled for. Cancelling ctx
 	// instead aborts the current lease mid-run (it is cleanly failed back
 	// to the coordinator).
 	Drain <-chan struct{}
@@ -120,7 +126,13 @@ func Work(ctx context.Context, opts WorkerOptions) error {
 			}
 		}()
 	}
-	idle, failures := 0, 0
+	// Poll ids carry a per-run nonce, so abandoning one of this worker's
+	// polls never touches another worker's, even under the same name. A
+	// failed read (a broken entropy source) leaves a zero nonce, which
+	// still keeps ids unique within this worker.
+	var nonce [8]byte
+	_, _ = rand.Read(nonce[:])
+	idle, failures, polls := 0, 0, 0
 	for {
 		if err := sleepCtx(ctx, 0); err != nil {
 			return nil // context done between leases: a clean exit
@@ -135,10 +147,22 @@ func Work(ctx context.Context, opts WorkerOptions) error {
 		}
 		delay := opts.Backoff.Delay(idle)
 		start := time.Now()
-		resp, err := client.Lease(pollCtx, opts.Name, delay)
+		polls++
+		pollID := fmt.Sprintf("%s/%x/%d", opts.Name, nonce, polls)
+		resp, err := client.Lease(pollCtx, opts.Name, pollID, delay)
 		if err != nil {
 			if pollCtx.Err() != nil {
-				continue // drained or cancelled mid-poll; the loop top exits
+				// Drained or cancelled mid-poll; the loop top exits. The
+				// coordinator may have answered the poll with a lease
+				// this worker will never see: abandoning the poll fails
+				// such a lease back, so none outlives the worker. The
+				// abandon goes out even when ctx is what was cancelled.
+				abandonCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abandonTimeout)
+				if err := client.AbandonPoll(abandonCtx, pollID); err != nil {
+					logf("abandoning poll %s: %v", pollID, err)
+				}
+				cancel()
+				continue
 			}
 			failures++
 			if failures >= errorBudget {
